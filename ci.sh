@@ -3,6 +3,7 @@
 # race detector, dedicated crash-consistency and WAL kill-every-point
 # smokes, a race-enabled sustained-write soak, a bench smoke that
 # emits and shape-checks the BENCH_ingest.json perf-trajectory artifact,
+# a build of the benchmark with its tiny-size tests,
 # a live dedupd debug-endpoint smoke (/metrics.json, /healthz,
 # /events.json, pprof), a gateway loopback smoke plus a live dedup-gw
 # admin-endpoint smoke, the cluster fault-matrix short preset, 30-second
@@ -48,9 +49,13 @@ echo "== loopback server integration smoke (race) =="
 # The wire-service acceptance gate: a near-duplicate second backup must
 # move <15% of its raw bytes over loopback and restore bit-identically
 # through the verifying path, and a connection killed mid-ingest must
-# resume into a store object-identical to an uninterrupted run's.
+# resume into a store object-identical to an uninterrupted run's and to
+# a local PutFile of the same bytes (every chunker, MHD and SI-MHD).
+# The server ingests the client's cuts, so hostile chunk sizes must be
+# refused, and the engine feed must tear down cleanly on Close, resume
+# expiry and engine disk errors.
 go test -race -count=1 \
-    -run 'TestLoopbackBackupAndVerifiedRestore|TestSecondGenerationMovesFewBytes|TestKillConnectionResumeStoreEquality|TestDrainWaitsForInFlightSession|TestServerCheckpointSurvivesKill|TestOverloadShedding' \
+    -run 'TestLoopbackBackupAndVerifiedRestore|TestSecondGenerationMovesFewBytes|TestKillConnectionResumeStoreEquality|TestDrainWaitsForInFlightSession|TestServerCheckpointSurvivesKill|TestOverloadShedding|TestWireStoreMatchesLocalPutFile|TestHostileCutsRefused|TestNewRefusesUnnegotiableChunker|TestFeedTeardown' \
     ./internal/server
 
 echo "== gateway loopback smoke (race) =="
@@ -59,9 +64,12 @@ echo "== gateway loopback smoke (race) =="
 # cross-shard re-ingest under 15% of its bytes on the client link, a
 # mid-run shard drain must stay fully restorable with the newest bytes,
 # a killed client connection must resume through the gateway, and tenant
-# auth/isolation/quota must hold.
+# auth/isolation/quota must hold. Every shard's store must be object-
+# identical to a local PutFile of the files it holds at R=1 and R=2, and
+# hostile chunk sizes must come back through the gateway as integrity
+# errors.
 go test -race -count=1 \
-    -run 'TestClusterRoundTripMatchesSingleNode|TestClusterChunkRoutingSavesClientBandwidth|TestClusterDrainMidRun|TestClusterKillConnectionResume|TestClusterTenants' \
+    -run 'TestClusterRoundTripMatchesSingleNode|TestClusterChunkRoutingSavesClientBandwidth|TestClusterDrainMidRun|TestClusterKillConnectionResume|TestClusterTenants|TestClusterStoreMatchesLocalPutFile|TestClusterHostileCutsRefused' \
     ./internal/cluster
 
 echo "== cluster fault matrix (short preset, race) =="
@@ -154,6 +162,13 @@ for key in '"ranged_hash_match": true' '"ranged_seek_ms"' '"flat_seek_ms"' \
         echo "bench smoke: $key missing from BENCH_restore.json" >&2; exit 1; }
 done
 rm -f /tmp/BENCH_ingest.ci.json /tmp/BENCH_restore.ci.json
+
+echo "== benchmark build and tiny-size tests =="
+# perfbench is its own module over this one (replace mhdedup => ../), so
+# the go test ./... above does not build it. Its tests run every
+# workload at a tiny size, so a core/server API change that breaks the
+# benchmark fails here.
+(cd perfbench && go vet . && go test -count=1 .)
 
 echo "== dedupd debug endpoint smoke =="
 # The server must serve /healthz, a histogram-bearing /metrics.json, the

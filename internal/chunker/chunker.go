@@ -101,6 +101,18 @@ func (p Params) withDefaults() (Params, error) {
 	return p, nil
 }
 
+// Bounds returns the resolved chunk-size bounds of p — Min and Max after
+// defaults — or the validation error p would fail with. Every chunker
+// built from p emits chunks of Min..Max bytes, except that a stream's
+// final chunk may be shorter than Min.
+func (p Params) Bounds() (min, max int, err error) {
+	p, err = p.withDefaults()
+	if err != nil {
+		return 0, 0, err
+	}
+	return p.Min, p.Max, nil
+}
+
 // Mask returns the cut-point mask for p: k low bits set, where 2^k is the
 // expected distance from Min to the cut so that the mean chunk size is close
 // to ECS.

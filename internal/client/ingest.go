@@ -399,12 +399,14 @@ func (c *Ingestor) recover() error {
 	return nil
 }
 
-// newChunker builds the chunker matching the negotiated engine options —
-// the same cut points the server's engine will re-produce when it
-// re-chunks the reassembled stream. The client always uses the
+// newChunker builds the chunker matching the negotiated engine options.
+// Its cut points become the stored cuts: the server ingests the offered
+// chunks as they are (refusing sizes outside the negotiated bounds)
+// instead of re-chunking the stream, so the store matches what a local
+// PutFile of the same bytes would hold. The client always uses the
 // block-processed fast path: it is bit-identical to the reference scan
-// (pinned by the conformance harness), so it matches the server's cuts
-// regardless of which implementation the server side selected.
+// (pinned by the conformance harness), so its cuts are the ones the
+// server's engine would make, whichever implementation it selected.
 func newChunker(r io.Reader, o wire.EngineOptions) (chunker.Chunker, error) {
 	p := chunker.Params{ECS: int(o.ECS)}
 	switch {

@@ -133,7 +133,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// chunkerParams maps the configuration onto chunker parameters.
-func (c Config) chunkerParams() chunker.Params {
+// ChunkerParams maps the configuration onto the parameters PutFile's
+// chunker runs with.
+func (c Config) ChunkerParams() chunker.Params {
 	return chunker.Params{ECS: c.ECS, Poly: c.Poly, Reference: c.ReferenceChunker}
 }

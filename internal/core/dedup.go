@@ -255,7 +255,32 @@ type fileState struct {
 	replay    []pchunk // chunks prefetched by FME but not consumed
 	slots     []slotState
 	hooks     []hashutil.Sum // hook hashes to publish at file end
-	pipe      *chunkPipeline // non-nil when the parallel pipeline is on
+	src       ChunkSource    // the file's chunks, hashed, in stream order
+	precut    bool           // src was cut and hashed by the caller
+}
+
+// Chunk is one pre-cut input chunk: its bytes and their SHA-1 digest.
+type Chunk struct {
+	Data []byte
+	Hash hashutil.Sum
+}
+
+// ChunkSource yields one file's chunks in stream order. Next returns
+// io.EOF after the last chunk; any other error aborts the file.
+type ChunkSource interface {
+	Next() (Chunk, error)
+}
+
+// chunkerSource cuts a stream with a chunker and hashes each chunk
+// synchronously — PutFile's source when the parallel pipeline is off.
+type chunkerSource struct{ ch chunker.Chunker }
+
+func (s chunkerSource) Next() (Chunk, error) {
+	c, err := s.ch.Next()
+	if err != nil {
+		return Chunk{}, err
+	}
+	return Chunk{Data: c.Data, Hash: hashutil.SumBytes(c.Data)}, nil
 }
 
 // PutFile deduplicates one input file on the default session. Files of one
@@ -266,31 +291,38 @@ func (d *Dedup) PutFile(name string, r io.Reader) error {
 	return d.defaultSession.PutFile(name, r)
 }
 
-// putFile is the per-stream ingest path shared by every session.
-// Cancellation is polled once per chunk — the finest boundary at which
-// the hysteresis state is consistent enough to abandon the file cleanly
-// (no FileManifest is emitted, so the partial file never looks
-// restorable).
+// putFile chunks and hashes r, then runs the chunks through ingest.
 func (d *Dedup) putFile(ctx context.Context, name string, r io.Reader) error {
 	var ch chunker.Chunker
 	var err error
 	switch {
 	case d.cfg.TTTD:
-		ch, err = chunker.NewTTTD(r, d.cfg.chunkerParams())
+		ch, err = chunker.NewTTTD(r, d.cfg.ChunkerParams())
 	case d.cfg.FastCDC:
-		ch, err = chunker.NewGear(r, d.cfg.chunkerParams())
+		ch, err = chunker.NewGear(r, d.cfg.ChunkerParams())
 	default:
-		ch, err = chunker.NewCDC(r, d.cfg.chunkerParams())
+		ch, err = chunker.NewCDC(r, d.cfg.ChunkerParams())
 	}
 	if err != nil {
 		return err
 	}
-	f := &fileState{name: name, chunkName: d.st.NextName()}
-	f.manifest = store.NewManifest(f.chunkName, store.FormatMHD)
+	var src ChunkSource = chunkerSource{ch}
 	if d.cfg.HashWorkers > 0 {
-		f.pipe = newChunkPipeline(ch, d.cfg.HashWorkers)
-		defer f.pipe.stop()
+		pipe := newChunkPipeline(ch, d.cfg.HashWorkers)
+		defer pipe.stop()
+		src = pipe
 	}
+	return d.ingest(ctx, name, src, false)
+}
+
+// ingest is the per-stream dedup path shared by every session and both
+// entry points. Cancellation is polled once per chunk — the finest
+// boundary at which the hysteresis state is consistent enough to abandon
+// the file cleanly (no FileManifest is emitted, so the partial file never
+// looks restorable).
+func (d *Dedup) ingest(ctx context.Context, name string, src ChunkSource, precut bool) error {
+	f := &fileState{name: name, chunkName: d.st.NextName(), src: src, precut: precut}
+	f.manifest = store.NewManifest(f.chunkName, store.FormatMHD)
 	d.stats.FilesTotal.Add(1)
 	done := ctx.Done()
 	for {
@@ -301,14 +333,14 @@ func (d *Dedup) putFile(ctx context.Context, name string, r io.Reader) error {
 			default:
 			}
 		}
-		pc, ok, err := d.nextChunk(f, ch)
+		pc, ok, err := d.nextChunk(f)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			break
 		}
-		if err := d.process(f, ch, pc); err != nil {
+		if err := d.process(f, pc); err != nil {
 			return err
 		}
 	}
@@ -316,61 +348,56 @@ func (d *Dedup) putFile(ctx context.Context, name string, r io.Reader) error {
 }
 
 // nextChunk yields the next chunk in stream order: FME leftovers first,
-// then fresh chunks from the chunker.
-func (d *Dedup) nextChunk(f *fileState, ch chunker.Chunker) (pchunk, bool, error) {
+// then fresh chunks from the source.
+func (d *Dedup) nextChunk(f *fileState) (pchunk, bool, error) {
 	if len(f.replay) > 0 {
 		pc := f.replay[0]
 		f.replay = f.replay[1:]
 		return pc, true, nil
 	}
-	return d.pull(f, ch)
+	return d.pull(f)
 }
 
-// pull reads one fresh chunk, hashes it and allocates its recipe slot. With
-// the parallel pipeline on, the chunk arrives pre-hashed.
-func (d *Dedup) pull(f *fileState, ch chunker.Chunker) (pchunk, bool, error) {
-	var data []byte
-	var h hashutil.Sum
+// pull takes one fresh hashed chunk from the source and allocates its
+// recipe slot. A pre-cut chunk skipped the engine's chunker and SHA-1
+// pass, so it is charged to neither the chunking counters nor
+// core.chunk_ns — time spent waiting on a caller's feed is not chunking.
+func (d *Dedup) pull(f *fileState) (pchunk, bool, error) {
 	start := time.Now()
-	if f.pipe != nil {
-		item := f.pipe.next()
-		if item.err == io.EOF || item.err == errPipelineClosed {
-			return pchunk{}, false, nil
-		}
-		if item.err != nil {
-			return pchunk{}, false, item.err
-		}
-		data, h = item.data, item.hash
-	} else {
-		c, err := ch.Next()
-		if err == io.EOF {
-			return pchunk{}, false, nil
-		}
-		if err != nil {
-			return pchunk{}, false, err
-		}
-		data, h = c.Data, hashutil.SumBytes(c.Data)
+	c, err := f.src.Next()
+	if err == io.EOF {
+		return pchunk{}, false, nil
 	}
-	hChunkNS.ObserveSince(start)
+	if err != nil {
+		return pchunk{}, false, err
+	}
+	n := int64(len(c.Data))
+	if f.precut {
+		if n == 0 {
+			return pchunk{}, false, fmt.Errorf("core: empty pre-cut chunk in %q", f.name)
+		}
+	} else {
+		hChunkNS.ObserveSince(start)
+		d.stats.ChunkedBytes.Add(n)
+		d.stats.HashedBytes.Add(n)
+	}
 	d.stats.ChunksIn.Add(1)
-	d.stats.InputBytes.Add(int64(len(data)))
-	d.stats.ChunkedBytes.Add(int64(len(data)))
-	d.stats.HashedBytes.Add(int64(len(data)))
+	d.stats.InputBytes.Add(n)
 	slot := len(f.slots)
-	f.slots = append(f.slots, slotState{size: int64(len(data))})
-	return pchunk{data: data, hash: h, slot: slot}, true, nil
+	f.slots = append(f.slots, slotState{size: n})
+	return pchunk{data: c.Data, hash: c.Hash, slot: slot}, true, nil
 }
 
 // process runs one chunk through Fig 4's flow: cached-manifest hit → match
 // extension; bloom + on-disk hook hit → load manifest, match extension;
 // otherwise buffer as non-duplicate, flushing half the buffer via SHM when
 // it fills.
-func (d *Dedup) process(f *fileState, ch chunker.Chunker, pc pchunk) error {
+func (d *Dedup) process(f *fileState, pc pchunk) error {
 	lkStart := time.Now()
 	m, hit := d.lookupCached(pc.hash)
 	hLookupNS.ObserveSince(lkStart)
 	if hit {
-		done, err := d.tryExtend(f, ch, m, pc)
+		done, err := d.tryExtend(f, m, pc)
 		if err != nil {
 			return err
 		}
@@ -394,7 +421,7 @@ func (d *Dedup) process(f *fileState, ch chunker.Chunker, pc pchunk) error {
 			if err != nil {
 				return err
 			}
-			done, err := d.tryExtend(f, ch, m, pc)
+			done, err := d.tryExtend(f, m, pc)
 			if err != nil {
 				return err
 			}
@@ -422,7 +449,7 @@ func (d *Dedup) process(f *fileState, ch chunker.Chunker, pc pchunk) error {
 			if err != nil {
 				return err
 			}
-			done, err := d.tryExtend(f, ch, m, pc)
+			done, err := d.tryExtend(f, m, pc)
 			if err != nil {
 				return err
 			}
@@ -445,14 +472,14 @@ func (d *Dedup) process(f *fileState, ch chunker.Chunker, pc pchunk) error {
 // and the caller should continue down the miss path. If extension dirtied
 // a manifest that has meanwhile been evicted from the cache, the splice is
 // written back here so it is never lost.
-func (d *Dedup) tryExtend(f *fileState, ch chunker.Chunker, m *store.Manifest, pc pchunk) (bool, error) {
+func (d *Dedup) tryExtend(f *fileState, m *store.Manifest, pc pchunk) (bool, error) {
 	m.Lock()
 	idx, ok := m.Lookup(pc.hash)
 	if !ok {
 		m.Unlock()
 		return false, nil
 	}
-	err := d.extendMatch(f, ch, m, idx, pc)
+	err := d.extendMatch(f, m, idx, pc)
 	dirty := m.Dirty()
 	m.Unlock()
 	if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"mhdedup/internal/chunker"
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/store"
 )
@@ -11,7 +10,7 @@ import (
 // extended backwards over the hysteresis buffer (BME) and forwards over
 // prefetched chunks (FME), re-chunking merged entries that straddle the
 // duplicate/non-duplicate boundary (HHR).
-func (d *Dedup) extendMatch(f *fileState, ch chunker.Chunker, m *store.Manifest, hitIdx int, hit pchunk) error {
+func (d *Dedup) extendMatch(f *fileState, m *store.Manifest, hitIdx int, hit pchunk) error {
 	e := m.Entries[hitIdx]
 	d.resolveDup(f, hit, m.ContainerOf(e), e.Start)
 	// A backward HHR splice replaces one entry before the hit with several,
@@ -28,7 +27,7 @@ func (d *Dedup) extendMatch(f *fileState, ch chunker.Chunker, m *store.Manifest,
 			return err
 		}
 	}
-	return d.fme(f, ch, m, hitIdx+shift)
+	return d.fme(f, m, hitIdx+shift)
 }
 
 // hashRun digests the concatenated bytes of a run of chunks.
@@ -85,7 +84,7 @@ func (d *Dedup) consumeTailAsDup(f *fileState, j int, m *store.Manifest, e store
 // them, at manifest granularity, with the entries after the HitHash.
 // Prefetched chunks that do not extend the duplicate region go back on the
 // replay queue and re-enter the normal deduplication flow (§III).
-func (d *Dedup) fme(f *fileState, ch chunker.Chunker, m *store.Manifest, hitIdx int) error {
+func (d *Dedup) fme(f *fileState, m *store.Manifest, hitIdx int) error {
 	var pre []pchunk
 	defer func() {
 		// Unconsumed prefetches precede whatever was already queued.
@@ -100,7 +99,7 @@ func (d *Dedup) fme(f *fileState, ch chunker.Chunker, m *store.Manifest, hitIdx 
 			total += int64(len(pc.data))
 		}
 		for total < e.Size {
-			pc, ok, err := d.nextChunk(f, ch)
+			pc, ok, err := d.nextChunk(f)
 			if err != nil {
 				return err
 			}

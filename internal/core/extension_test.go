@@ -131,10 +131,10 @@ func TestFMEExtendsForwardAcrossEntries(t *testing.T) {
 		chunks = append(chunks, chunker.Chunk{Data: content[off : off+1024]})
 	}
 	src := &sliceChunker{chunks: chunks}
-	f := &fileState{name: "f", chunkName: d.st.NextName()}
+	f := &fileState{name: "f", chunkName: d.st.NextName(), src: chunkerSource{src}}
 	f.manifest = store.NewManifest(f.chunkName, store.FormatMHD)
 
-	if err := d.fme(f, src, m, 0); err != nil {
+	if err := d.fme(f, m, 0); err != nil {
 		t.Fatal(err)
 	}
 	if d.stats.HHROps.Load() != 0 {
@@ -163,10 +163,10 @@ func TestFMEPushesUnmatchedChunksToReplay(t *testing.T) {
 	// Stream: one chunk that does NOT match entry 1.
 	foreign := randBytes(954, 1024)
 	src := &sliceChunker{chunks: []chunker.Chunk{{Data: foreign}}}
-	f := &fileState{name: "f", chunkName: d.st.NextName()}
+	f := &fileState{name: "f", chunkName: d.st.NextName(), src: chunkerSource{src}}
 	f.manifest = store.NewManifest(f.chunkName, store.FormatMHD)
 
-	if err := d.fme(f, src, m, 0); err != nil {
+	if err := d.fme(f, m, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(f.replay) != 1 || !bytes.Equal(f.replay[0].data, foreign) {
@@ -196,9 +196,9 @@ func TestExtendMatchFullPath(t *testing.T) {
 	hit := pchunk{data: content[1024:2048], hash: hashutil.SumBytes(content[1024:2048]), slot: 1}
 	f.slots = append(f.slots, slotState{size: 1024})
 	// Stream continues with entry 2's bytes.
-	src := &sliceChunker{chunks: []chunker.Chunk{{Data: content[2048:]}}}
+	f.src = chunkerSource{&sliceChunker{chunks: []chunker.Chunk{{Data: content[2048:]}}}}
 
-	if err := d.extendMatch(f, src, m, 1, hit); err != nil {
+	if err := d.extendMatch(f, m, 1, hit); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {

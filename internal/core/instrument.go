@@ -13,7 +13,8 @@ import "mhdedup/internal/metrics"
 var (
 	// hChunkNS is the time to acquire the next hashed chunk — the
 	// chunker boundary scan plus SHA-1, or the pipeline hand-off wait
-	// when HashWorkers > 0.
+	// when HashWorkers > 0. Pre-cut chunks (PutChunksContext) are not
+	// observed: the engine does no chunking for them.
 	hChunkNS = metrics.GetHistogram("core.chunk_ns")
 	// hLookupNS is one flat cache-index lookup (hash → cached manifest).
 	hLookupNS = metrics.GetHistogram("core.lookup_ns")

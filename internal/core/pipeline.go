@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"runtime"
 	"sync"
 
@@ -25,9 +26,8 @@ import (
 // hashedChunk is one pipeline item: a chunk with its digest, or a terminal
 // error from the chunker.
 type hashedChunk struct {
-	data []byte
-	hash hashutil.Sum
-	err  error
+	Chunk
+	err error
 }
 
 // chunkPipeline produces hashed chunks of one input stream in order.
@@ -96,20 +96,22 @@ func newChunkPipeline(ch chunker.Chunker, workers int) *chunkPipeline {
 		go func() {
 			defer p.wg.Done()
 			for item := range work {
-				item.slot <- hashedChunk{data: item.data, hash: hashutil.SumBytes(item.data)}
+				item.slot <- hashedChunk{Chunk: Chunk{Data: item.data, Hash: hashutil.SumBytes(item.data)}}
 			}
 		}()
 	}
 	return p
 }
 
-// next returns the next hashed chunk in input order.
-func (p *chunkPipeline) next() hashedChunk {
+// Next returns the next hashed chunk in input order (ChunkSource), and
+// io.EOF once the chunker is exhausted.
+func (p *chunkPipeline) Next() (Chunk, error) {
 	slot, ok := <-p.queue
 	if !ok {
-		return hashedChunk{err: errPipelineClosed}
+		return Chunk{}, io.EOF
 	}
-	return <-slot
+	item := <-slot
+	return item.Chunk, item.err
 }
 
 // stop tears the pipeline down (safe after normal exhaustion too).
@@ -124,12 +126,3 @@ func (p *chunkPipeline) stop() {
 	}
 	p.wg.Wait()
 }
-
-// errPipelineClosed signals the queue closed without a terminal item; it is
-// mapped to io.EOF by the caller (the chunker's own error always arrives
-// first in normal operation).
-var errPipelineClosed = pipelineClosedError{}
-
-type pipelineClosedError struct{}
-
-func (pipelineClosedError) Error() string { return "core: chunk pipeline closed" }

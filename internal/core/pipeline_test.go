@@ -90,8 +90,8 @@ func TestPipelineStopMidStreamNoGoroutineLeak(t *testing.T) {
 		// Consume a few chunks so slots, workers and the reader are all in
 		// flight, then walk away mid-stream.
 		for j := 0; j < 5; j++ {
-			if item := p.next(); item.err != nil {
-				t.Fatalf("next: %v", item.err)
+			if _, err := p.Next(); err != nil {
+				t.Fatalf("next: %v", err)
 			}
 		}
 		p.stop()
@@ -111,12 +111,12 @@ func TestPipelineStopAfterExhaustion(t *testing.T) {
 	p := newChunkPipeline(&sliceChunker{chunks: chunks}, 4)
 	var got int
 	for {
-		item := p.next()
-		if item.err == io.EOF || item.err == errPipelineClosed {
+		_, err := p.Next()
+		if err == io.EOF {
 			break
 		}
-		if item.err != nil {
-			t.Fatalf("next: %v", item.err)
+		if err != nil {
+			t.Fatalf("next: %v", err)
 		}
 		got++
 	}

@@ -51,6 +51,22 @@ func (s *Session) PutFileContext(ctx context.Context, name string, r io.Reader) 
 	return s.d.putFile(ctx, name, r)
 }
 
+// PutChunksContext is PutFileContext for a stream its caller has already
+// cut and hashed: a server whose client chunks locally and whose wire
+// verifies every chunk's SHA-1 hands the verified chunks over as they
+// are, so the engine skips its chunker and its first SHA-1 pass and runs
+// the same dedup path as PutFile from there on (BME/FME, HHR, SHM).
+//
+// The caller vouches for the chunks: each Hash must be the SHA-1 of its
+// Data, and the cut points must be the ones PutFile's chunker would
+// produce for the same bytes (Config.ChunkerParams), or the store stops
+// matching what PutFile would have stored. Empty chunks are refused. A
+// source blocked in Next defers cancellation, so a source fed from
+// another goroutine should watch ctx itself.
+func (s *Session) PutChunksContext(ctx context.Context, name string, src ChunkSource) error {
+	return s.d.ingest(ctx, name, src, true)
+}
+
 // Item is one input file of a stream: a name (the Restore key, unique
 // across the whole Dedup) and an opener returning its contents. The opener
 // runs on the worker goroutine that ingests the stream, so ingest I/O

@@ -37,7 +37,8 @@ type Stats struct {
 	StoredDataBytes int64
 	// ChunkedBytes is the input volume scanned by the rolling fingerprint;
 	// HashedBytes the volume digested by SHA-1 (match extension re-hashes
-	// buffered bytes, so this can exceed ChunkedBytes).
+	// buffered bytes, so this can exceed ChunkedBytes). Input handed over
+	// already cut and hashed counts in neither for its first pass.
 	ChunkedBytes int64
 	HashedBytes  int64
 	// RAMBytes is the resident memory charged to the algorithm: bloom

@@ -13,8 +13,9 @@ import (
 // the wire. The cache is purely a bandwidth optimization — correctness
 // never depends on it. A miss merely puts the chunk on the need-list, so
 // eviction, restarts and a zero-byte budget all degrade to "send the
-// bytes", never to wrong data. (The engine's own duplicate elimination is
-// downstream and unaffected: it re-chunks the reassembled stream.)
+// bytes", never to wrong data. Every entry was SHA-1-verified against its
+// key when it arrived, so a hit is a verified chunk the engine ingests as
+// is; the engine's own duplicate elimination is downstream and unaffected.
 //
 // Lookups that hit PIN the bytes into the caller's batch immediately, so
 // an eviction between need-list computation and batch application cannot

@@ -15,9 +15,10 @@ import (
 // peerMigration is one in-flight migrated-file ingest on a ModePeer
 // connection: a gateway (rebalancing a drained shard or repairing an
 // under-replicated file) streams the file's raw bytes and this shard's
-// engine re-chunks and dedups them like any local PutFile. The stream is
-// the trusted-interior twin of the client ingest path — same pipe-into-
-// PutFileContext feed, same size+sum check before the acknowledgement,
+// engine chunks and dedups them like any local PutFile. The stream is
+// the trusted-interior twin of the client ingest path — a byte pipe into
+// PutFileContext where the client path feeds verified chunks into
+// PutChunksContext, the same size+sum check before the acknowledgement,
 // same durability barrier — minus the offer→need negotiation, which the
 // engine's own dedup makes redundant here (known chunks cost an index
 // lookup, not new storage).
@@ -205,3 +206,14 @@ func (s *Server) handleMigrateFrames(f wire.Frame, mig **peerMigration, send sen
 }
 
 func sendOK(send sender, t uint8) bool { return send(t, nil) == nil }
+
+// errIngestDone carries PutFile's result through the pipe so a blocked
+// feed learns why the engine stopped reading.
+type errIngestDone struct{ err error }
+
+func (e errIngestDone) Error() string {
+	if e.err == nil {
+		return "server: ingest finished"
+	}
+	return "server: ingest failed: " + e.err.Error()
+}

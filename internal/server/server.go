@@ -3,7 +3,9 @@
 // ingest connection onto one core.Session of a single shared MHD/SI-MHD
 // engine, and speaks the internal/wire protocol: the client chunks
 // locally and negotiates by hash, so only chunk bytes the server has
-// never seen cross the wire.
+// never seen cross the wire, and the engine ingests the client's
+// verified chunks as cut (core.Session.PutChunksContext) instead of
+// chunking and hashing the stream a second time.
 //
 // The server enforces hard limits (max sessions, max frame payload, a
 // per-session in-flight command window, idle read and write deadlines),
@@ -166,6 +168,8 @@ func (c *Config) fillDefaults() error {
 type Server struct {
 	cfg      Config
 	opts     wire.EngineOptions // the handshake contract clients must match
+	minChunk int                // cut bounds every offered chunk must respect
+	maxChunk int
 	cache    *chunkCache
 	tokenSrc atomic.Uint64
 
@@ -223,6 +227,15 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	ec := cfg.Engine.Config()
+	// The client's cuts become the stored cuts, so every chunker setting
+	// the engine uses must travel in Hello. A custom polynomial does not.
+	if ec.Poly != 0 {
+		return nil, fmt.Errorf("server: engine Rabin polynomial %#x cannot be negotiated in Hello; clients cut with the default", uint64(ec.Poly))
+	}
+	minChunk, maxChunk, err := ec.ChunkerParams().Bounds()
+	if err != nil {
+		return nil, fmt.Errorf("server: engine chunker: %w", err)
+	}
 	algorithm := exp.AlgoMHD
 	if ec.SparseIndex {
 		algorithm = exp.AlgoSIMHD
@@ -236,6 +249,8 @@ func New(cfg Config) (*Server, error) {
 			TTTD:      ec.TTTD,
 			FastCDC:   ec.FastCDC,
 		},
+		minChunk: minChunk,
+		maxChunk: maxChunk,
 		cache:    newChunkCache(cfg.ChunkCacheBytes),
 		conns:    make(map[net.Conn]struct{}),
 		sessions: make(map[uint64]*ingestSession),
@@ -738,7 +753,7 @@ func (s *Server) expireSession(ss *ingestSession, aborting bool) {
 	s.mu.Unlock()
 	ss.abort()
 	if aborting {
-		ss.abortOpenFile(errSessionExpired)
+		ss.abortOpenFile()
 	}
 }
 

@@ -35,6 +35,13 @@ func newTestEngine(t *testing.T) *core.Dedup {
 func startServer(t *testing.T, mut func(*Config)) (*Server, *core.Dedup, string) {
 	t.Helper()
 	eng := newTestEngine(t)
+	srv, addr := serveEngine(t, eng, mut)
+	return srv, eng, addr
+}
+
+// serveEngine runs a server over eng on a loopback listener.
+func serveEngine(t *testing.T, eng *core.Dedup, mut func(*Config)) (*Server, string) {
+	t.Helper()
 	cfg := Config{
 		Engine:   eng,
 		Registry: metrics.NewRegistry(), // private: don't pollute Default across tests
@@ -53,7 +60,7 @@ func startServer(t *testing.T, mut func(*Config)) (*Server, *core.Dedup, string)
 	}
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
-	return srv, eng, ln.Addr().String()
+	return srv, ln.Addr().String()
 }
 
 // rawConn dials and returns frame write/read helpers for protocol-level

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -13,10 +12,6 @@ import (
 	"mhdedup/internal/hashutil"
 	"mhdedup/internal/wire"
 )
-
-// errSessionExpired aborts a detached session's in-flight PutFile when the
-// resume window runs out.
-var errSessionExpired = errors.New("server: session resume window expired")
 
 // ingestSession is the server half of one client backup session: a
 // core.Session on the shared engine, the ordered-application state (seq
@@ -96,15 +91,63 @@ type pendingCmd struct {
 	missing int      // needed chunks not yet received
 }
 
-// openFile is the feed of the file currently being reassembled: a pipe
-// into PutFileContext running on its own goroutine, plus the running
-// total and hash used to check the client's FileEnd claim.
+// feedDepth bounds how many applied Offer batches may wait for the
+// engine: enough to overlap the handler's chunk verification with the
+// engine's dedup work without buffering a file's worth of chunks.
+const feedDepth = 4
+
+// openFile is the file currently being reassembled: a bounded feed of
+// applied Offer batches into PutChunksContext running on its own
+// goroutine, plus the running total and hash used to check the client's
+// FileEnd claim. The chunks in the feed are already verified — needed
+// chunks were SHA-1'd against their offered address on arrival, cache
+// hits come from the hash-keyed chunk cache — so the engine takes them
+// as cut and hashed instead of re-chunking the stream.
 type openFile struct {
-	name string
-	pw   *io.PipeWriter
-	done chan error
-	hash *hashutil.Hasher
-	fed  uint64
+	name   string
+	feed   chan []core.Chunk
+	cancel context.CancelFunc // stops this file's engine ingest
+	exited chan struct{}      // closed once the engine goroutine returned
+	err    error              // the engine's result; read only after exited
+	hash   *hashutil.Hasher
+	fed    uint64
+	short  bool // the last fed chunk was below the minimum cut size
+}
+
+// failure reports why the engine goroutine stopped (after exited).
+func (f *openFile) failure() error {
+	return fatalf(wire.CodeInternal, "ingest of %q failed: %v", f.name, f.err)
+}
+
+// feedSource is the engine's side of an openFile: the chunks of the
+// applied Offer batches in order, io.EOF once the handler closes the
+// feed, and the context's error once the file is aborted — a cancelled
+// ingest takes no further batch, so a handler blocked handing one over
+// is released only by the engine's exit and reports its error.
+type feedSource struct {
+	ctx   context.Context
+	feed  <-chan []core.Chunk
+	batch []core.Chunk
+}
+
+func (s *feedSource) Next() (core.Chunk, error) {
+	for len(s.batch) == 0 {
+		if err := s.ctx.Err(); err != nil {
+			return core.Chunk{}, err
+		}
+		select {
+		case b, ok := <-s.feed:
+			if !ok {
+				return core.Chunk{}, io.EOF
+			}
+			s.batch = b
+		case <-s.ctx.Done():
+			return core.Chunk{}, s.ctx.Err()
+		}
+	}
+	c := s.batch[0]
+	s.batch = s.batch[1:]
+	return c, nil
 }
 
 // sessionFatal is an error that must be reported to the client as an
@@ -266,9 +309,9 @@ func (ss *ingestSession) applyReady(send sender) error {
 		if pc.kind == wire.TypeOffer && pc.missing > 0 {
 			return nil
 		}
-		// Time the apply: this is where the handler feeds the engine pipe
-		// and where a slow engine (or a stalled FileEnd waiting on
-		// PutFileContext) shows up as an applyReady stall.
+		// Time the apply: this is where the handler feeds the engine and
+		// where a slow engine (a full feed, or a FileEnd waiting on
+		// PutChunksContext) shows up as an applyReady stall.
 		start := time.Now()
 		err := ss.apply(pc)
 		d := ss.srv.hApply.ObserveSince(start)
@@ -296,14 +339,15 @@ func (ss *ingestSession) apply(pc *pendingCmd) error {
 			ss.fileMu.Unlock()
 			return fatalf(wire.CodeProtocol, "FileBegin %q while %q is open", pc.begin.Name, open)
 		}
-		pr, pw := io.Pipe()
-		f := &openFile{name: wire.NSJoin(ss.tenant, pc.begin.Name), pw: pw, done: make(chan error, 1), hash: hashutil.NewHasher()}
-		sess, ctx := ss.eng, ss.ctx
+		ctx, cancel := context.WithCancel(ss.ctx)
+		f := &openFile{name: wire.NSJoin(ss.tenant, pc.begin.Name), feed: make(chan []core.Chunk, feedDepth),
+			cancel: cancel, exited: make(chan struct{}), hash: hashutil.NewHasher()}
+		src := &feedSource{ctx: ctx, feed: f.feed}
+		sess := ss.eng
 		go func() {
-			err := sess.PutFileContext(ctx, f.name, pr)
-			// Unblock any writer still feeding the pipe, then publish.
-			pr.CloseWithError(errIngestDone{err})
-			f.done <- err
+			f.err = sess.PutChunksContext(ctx, f.name, src)
+			cancel()
+			close(f.exited)
 		}()
 		ss.file = f
 		ss.fileMu.Unlock()
@@ -314,32 +358,44 @@ func (ss *ingestSession) apply(pc *pendingCmd) error {
 		if f == nil {
 			return fatalf(wire.CodeProtocol, "Offer %d outside a file", pc.seq)
 		}
+		batch := make([]core.Chunk, len(pc.data))
 		for i, data := range pc.data {
 			if data == nil {
 				return fatalf(wire.CodeInternal, "offer %d index %d has no bytes at apply time", pc.seq, i)
 			}
-			if _, err := f.pw.Write(data); err != nil {
-				return ss.feedFailure(f.name, err)
+			if err := ss.srv.checkCut(f, pc.seq, i, len(data)); err != nil {
+				return err
 			}
 			f.hash.Write(data)
 			f.fed += uint64(len(data))
+			batch[i] = core.Chunk{Data: data, Hash: pc.offer.Entries[i].Hash}
 		}
-		return nil
+		select {
+		case f.feed <- batch:
+			return nil
+		case <-f.exited:
+			return f.failure()
+		}
 
 	case wire.TypeFileEnd:
 		f := ss.takeFile()
 		if f == nil {
 			return fatalf(wire.CodeProtocol, "FileEnd %d outside a file", pc.seq)
 		}
-		f.pw.Close()
-		if err := <-f.done; err != nil {
-			return fatalf(wire.CodeInternal, "ingest of %q failed: %v", f.name, err)
-		}
+		// The engine sees the end of the feed only once the stream
+		// checks out, so a mismatched stream never commits a manifest.
 		if f.fed != pc.end.TotalBytes {
+			f.stop()
 			return fatalf(wire.CodeIntegrity, "file %q: reassembled %d bytes, client declared %d", f.name, f.fed, pc.end.TotalBytes)
 		}
 		if f.hash.Sum() != pc.end.Sum {
+			f.stop()
 			return fatalf(wire.CodeIntegrity, "file %q: reassembled stream does not hash to the declared sum", f.name)
+		}
+		close(f.feed)
+		<-f.exited
+		if f.err != nil {
+			return f.failure()
 		}
 		// Durability barrier: the FileEnd ack this apply unlocks is the
 		// server's promise that the file survives a crash, so it is not
@@ -360,25 +416,20 @@ func (ss *ingestSession) apply(pc *pendingCmd) error {
 	return fatalf(wire.CodeInternal, "unapplicable command kind %d", pc.kind)
 }
 
-// feedFailure maps a pipe-write failure (the engine goroutine died, or
-// the session was torn down under the handler) to the real error.
-func (ss *ingestSession) feedFailure(name string, writeErr error) error {
-	var done errIngestDone
-	if errors.As(writeErr, &done) && done.err != nil {
-		return fatalf(wire.CodeInternal, "ingest of %q failed: %v", name, done.err)
+// checkCut bounds the client's cut points. The client's cuts become the
+// stored cuts, so the server refuses what no chunker with the negotiated
+// parameters emits: an empty chunk, one over the maximum size, or any
+// chunk after one below the minimum size (only a file's last chunk may
+// be short).
+func (s *Server) checkCut(f *openFile, seq uint64, i, n int) error {
+	if f.short {
+		return fatalf(wire.CodeIntegrity, "offer %d index %d: chunk follows a chunk shorter than the %d-byte minimum", seq, i, s.minChunk)
 	}
-	return fatalf(wire.CodeInternal, "ingest feed of %q failed: %v", name, writeErr)
-}
-
-// errIngestDone carries PutFile's result through the pipe so a blocked
-// feed learns why the engine stopped reading.
-type errIngestDone struct{ err error }
-
-func (e errIngestDone) Error() string {
-	if e.err == nil {
-		return "server: ingest finished"
+	if n == 0 || n > s.maxChunk {
+		return fatalf(wire.CodeIntegrity, "offer %d index %d: %d-byte chunk outside the negotiated 1..%d", seq, i, n, s.maxChunk)
 	}
-	return "server: ingest failed: " + e.err.Error()
+	f.short = n < s.minChunk
+	return nil
 }
 
 // closeRequested finalizes the session on an orderly Close: every command
@@ -393,17 +444,22 @@ func (ss *ingestSession) closeRequested() error {
 	return nil
 }
 
-// abortOpenFile tears down the in-flight file feed (detach-expiry and
-// fatal-error paths): the engine side is cancelled via the session
-// context by the caller; here the pipe is broken so both ends unblock.
-func (ss *ingestSession) abortOpenFile(cause error) {
+// stop cancels the file's engine ingest and waits for its goroutine.
+func (f *openFile) stop() {
+	f.cancel()
+	<-f.exited
+}
+
+// abortOpenFile tears down the in-flight file (detach-expiry, server
+// Close and fatal-error paths): the engine ingest is cancelled and waited
+// for, and the engine's error is logged — nobody may be left on the wire
+// to report it to.
+func (ss *ingestSession) abortOpenFile() {
 	f := ss.takeFile()
 	if f == nil {
 		return
 	}
-	f.pw.CloseWithError(cause)
-	// Drain the result so the engine goroutine's buffered send never
-	// blocks; the error itself is expected (cancelled context or pipe
-	// breakage) and already accounted.
-	go func() { <-f.done }()
+	f.stop()
+	ss.srv.cfg.Events.Info("session.file_abort",
+		events.F("session", ss.token), events.F("file", f.name), events.F("err", f.err))
 }
